@@ -193,7 +193,7 @@ class CompressiveSectorSelector:
         return SelectionResult(sector_id=sector_id, estimate=estimate)
 
     # ------------------------------------------------------------------
-    # Batched throughput path.
+    # Batched path: one pass of correlate → finite-argmax → Eq. 4.
     # ------------------------------------------------------------------
 
     def _fallback_from_arrays(
@@ -218,29 +218,21 @@ class CompressiveSectorSelector:
             return SelectionResult(sector_id=sector_id, fallback=True)
         return SelectionResult(sector_id=self._last_selection, fallback=True)
 
-    def select_batch(
+    def _fused_arrays(
         self,
         sector_ids: np.ndarray,
         snr_db: np.ndarray,
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
-    ) -> List[SelectionResult]:
-        """Run :meth:`select` over a padded batch of sweeps at once.
+    ) -> _FusedBatch:
+        """Stateless array half of :meth:`select_batch`.
 
-        Row ``t`` holds one sweep's probes in slot order (``mask[t]``
-        flags slots carrying a report; padded slots may hold anything).
-        ``snr_db`` is always required — the fallback ranks probes by
-        SNR regardless of the fusion mode — while ``rssi_dbm`` is only
-        needed when the estimator's fusion uses it.  Rows are processed
-        in order and update the selection state sequentially, so the
-        result list is element-for-element identical to calling
-        :meth:`select` on each sweep, including fallback decisions and
-        the Eq. 4 lookup.
-
-        Raises:
-            ValueError: a row had enough known-sector probes to attempt
-                estimation but fewer than two finite ones — exactly the
-                case where the scalar path raises mid-sequence.
+        Validates the padded batch, runs the estimator's fused
+        correlate→argmax pass, and resolves Eq. 4 for every estimated
+        row in one vectorized column gather.  Touches no selector state
+        (``_last_selection`` is only read/written by the builder), so
+        several blocks' batches may be stacked row-wise and evaluated
+        in a single call.
         """
         ids = np.asarray(sector_ids)
         if ids.ndim != 2:
@@ -267,113 +259,13 @@ class CompressiveSectorSelector:
         in_range = (ids >= 0) & (ids < lookup.size)
         known = np.zeros(ids.shape, dtype=bool)
         known[in_range] = lookup[ids[in_range]] >= 0
-        usable = valid & known
-        counts = usable.sum(axis=1)
-
-        estimate_rows = np.flatnonzero(counts >= self.min_probes)
-        estimates: List[Optional[object]] = []
-        if estimate_rows.size:
-            rssi_sub = (
-                None
-                if rssi_dbm is None
-                else np.asarray(rssi_dbm, dtype=float)[estimate_rows]
-            )
-            estimates = self.estimator.estimate_batch(
-                ids[estimate_rows],
-                snr_db=snr[estimate_rows],
-                rssi_dbm=rssi_sub,
-                mask=usable[estimate_rows],
-            )
-        estimate_of_row = dict(zip(estimate_rows.tolist(), estimates))
-
-        quality_on = _quality.quality_context() is not None
-        results: List[SelectionResult] = []
-        for trial in range(ids.shape[0]):
-            row_usable = usable[trial]
-            if counts[trial] < self.min_probes:
-                results.append(
-                    self._fallback_from_arrays(ids[trial, row_usable], snr[trial, row_usable])
-                )
-                continue
-            estimate = estimate_of_row[trial]
-            if estimate is None:
-                raise ValueError(
-                    f"trial {trial}: need at least two finite probe "
-                    f"measurements to correlate"
-                )
-            if estimate.correlation < self.fallback_correlation:
-                results.append(
-                    self._fallback_from_arrays(ids[trial, row_usable], snr[trial, row_usable])
-                )
-                continue
-            grid_index = estimate.grid_index
-            if grid_index is None:
-                grid_index = self.estimator.search_grid.nearest_index(
-                    estimate.azimuth_deg, estimate.elevation_deg
-                )
-            candidate_gains = self._candidate_matrix[:, grid_index]
-            sector_id = int(self.candidate_sector_ids[int(candidate_gains.argmax())])
-            if quality_on:
-                _quality.record_selection_margin(
-                    candidate_gains, estimate.n_probes_used
-                )
-            self._last_selection = sector_id
-            results.append(SelectionResult(sector_id=sector_id, estimate=estimate))
-        return results
-
-    # ------------------------------------------------------------------
-    # Fused single-pass path (correlate → finite-argmax → Eq. 4).
-    # ------------------------------------------------------------------
-
-    def _fused_arrays(
-        self,
-        sector_ids: np.ndarray,
-        snr_db: np.ndarray,
-        rssi_dbm: Optional[np.ndarray] = None,
-        mask: Optional[np.ndarray] = None,
-    ) -> _FusedBatch:
-        """Stateless array half of :meth:`select_fused_batch`.
-
-        Validates the padded batch, runs the estimator's fused
-        correlate→argmax pass, and resolves Eq. 4 for every estimated
-        row in one vectorized column gather.  Touches no selector state
-        (``_last_selection`` is only read/written by the builder), so
-        several blocks' batches may be stacked row-wise and evaluated
-        in a single call.
-        """
-        ids = np.asarray(sector_ids)
-        if ids.ndim != 2:
-            raise ValueError("sector_ids must be 2-D (trials x probe slots)")
-        _obs.inc("selector_calls_total", path="fused")
-        _obs.inc("selector_batch_rows_total", ids.shape[0])
-        ids = ids.astype(np.intp, copy=False)
-        snr = np.asarray(snr_db, dtype=float)
-        if snr.shape != ids.shape:
-            raise ValueError(
-                f"snr_db shape {snr.shape} does not match sector_ids shape {ids.shape}"
-            )
-        if mask is None:
-            valid = np.ones(ids.shape, dtype=bool)
-        else:
-            valid = np.asarray(mask, dtype=bool)
-            if valid.shape != ids.shape:
-                raise ValueError(
-                    f"mask shape {valid.shape} does not match sector_ids "
-                    f"shape {ids.shape}"
-                )
-
-        lookup = self.estimator._row_lookup
-        in_range = (ids >= 0) & (ids < lookup.size)
-        known = np.zeros(ids.shape, dtype=bool)
-        known[in_range] = lookup[ids[in_range]] >= 0
         sel_usable = valid & known
         counts = sel_usable.sum(axis=1)
         need = counts >= self.min_probes
 
-        # The estimator only sees rows that met min_probes (matching
-        # select_batch's estimate_rows subset); zeroing short rows'
-        # masks instead of slicing keeps the batch layout intact for
-        # the single-nonzero compaction.
+        # The estimator only sees rows that met min_probes; zeroing
+        # short rows' masks instead of slicing keeps the batch layout
+        # intact for the single-nonzero compaction.
         estimate_mask = sel_usable if bool(need.all()) else sel_usable & need[:, None]
         n_probes, best_index, best_corr = self.estimator.estimate_fused_arrays(
             ids, snr_db=snr, rssi_dbm=rssi_dbm, mask=estimate_mask
@@ -393,12 +285,12 @@ class CompressiveSectorSelector:
         )
 
     def _fused_build(self, fused: _FusedBatch) -> List[SelectionResult]:
-        """Stateful result-building half of :meth:`select_fused_batch`.
+        """Stateful result-building half of :meth:`select_batch`.
 
         Rows are visited in order, threading ``_last_selection`` and
-        resolving fallbacks exactly like :meth:`select_batch`'s result
-        loop — the only part of the fused path that must run per block
-        in submission order.
+        resolving fallbacks exactly like a sequence of :meth:`select`
+        calls — the only part of the batched path that must run per
+        block in submission order.
         """
         results: List[SelectionResult] = []
         index_to_angles = self.estimator.search_grid.index_to_angles
@@ -437,8 +329,8 @@ class CompressiveSectorSelector:
             if quality_on:
                 # Re-gather the Eq. 4 column (the stateless half does
                 # not retain it) so the margin is recorded only for
-                # rows that actually selected — the same rows
-                # select_batch records.
+                # rows that actually selected — the same rows select
+                # records.
                 _quality.record_selection_margin(
                     self._candidate_matrix[:, grid_index],
                     estimate.n_probes_used,
@@ -448,26 +340,39 @@ class CompressiveSectorSelector:
             results.append(SelectionResult(sector_id=sector_id, estimate=estimate))
         return results
 
-    def select_fused_batch(
+    def select_batch(
         self,
         sector_ids: np.ndarray,
         snr_db: np.ndarray,
         rssi_dbm: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
     ) -> List[SelectionResult]:
-        """Single-pass twin of :meth:`select_batch` (correlate → argmax → Eq. 4).
+        """Run :meth:`select` over a padded batch of sweeps at once.
 
-        Same contract and **bit-for-bit** the same results as
-        :meth:`select_batch`; the difference is purely mechanical — one
-        ``nonzero`` compacts the whole batch up front, each row goes
-        straight from its correlation vector to its finite-aware argmax
-        (no per-row fancy indexing, no full correlation-map
-        materialization), and the Eq. 4 candidate argmax runs as one
-        vectorized column gather.  Raises the same ``ValueError`` as
-        :meth:`select_batch` when a row had enough known-sector probes
-        to attempt estimation but fewer than two finite ones.
+        Row ``t`` holds one sweep's probes in slot order (``mask[t]``
+        flags slots carrying a report; padded slots may hold anything).
+        ``snr_db`` is always required — the fallback ranks probes by
+        SNR regardless of the fusion mode — while ``rssi_dbm`` is only
+        needed when the estimator's fusion uses it.  Rows update the
+        selection state in order, so the result list is
+        element-for-element identical to calling :meth:`select` on each
+        sweep, including fallback decisions and the Eq. 4 lookup.
+
+        One ``nonzero`` compacts the whole batch up front, each row
+        goes straight from its correlation vector to its finite-aware
+        argmax (no full correlation-map materialization), and the
+        Eq. 4 candidate argmax runs as one vectorized column gather.
+
+        Raises:
+            ValueError: a row had enough known-sector probes to attempt
+                estimation but fewer than two finite ones — exactly the
+                case where the scalar path raises mid-sequence.
         """
         return self._fused_build(self._fused_arrays(sector_ids, snr_db, rssi_dbm, mask))
+
+    #: The same function as :meth:`select_batch`, kept under its old
+    #: name because ``perfbench/layers.py`` wraps this attribute.
+    select_fused_batch = select_batch
 
     def select_fused_stacked(
         self, parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
@@ -476,7 +381,7 @@ class CompressiveSectorSelector:
 
         ``parts`` is a sequence of ``(sector_ids, snr_db, rssi_dbm,
         mask)`` tuples with equal probe widths.  Bit-for-bit equivalent
-        to ``reset(); select_fused_batch(*part)`` per part: the
+        to ``reset(); select_batch(*part)`` per part: the
         stateless half (:meth:`_fused_arrays`) is row-independent, so
         the stacked rows produce exactly the per-part values, and the
         stateful builder then runs per part against freshly reset

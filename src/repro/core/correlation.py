@@ -11,23 +11,17 @@ break the scale-invariant normalized inner product, whereas in linear
 power the shift becomes a pure scale that normalization removes.  The
 dB domain remains available for the ablation study.
 
-Two call paths share one arithmetic core (:func:`_correlate`):
-
-* :func:`correlation_map` is the **reference implementation** — it
-  transforms probes and patterns on every call.
-* :func:`prepare_pattern_matrix` + :func:`correlation_map_prepared`
-  and :func:`correlation_map_batch` form the **throughput path**: the
-  (fixed) pattern matrix is converted to the correlation domain once,
-  so per-call work is limited to the M probe values.  Both paths
-  produce bit-for-bit identical results because the domain transform
-  is elementwise (transform-then-gather equals gather-then-transform)
-  and the core runs the same operations in the same order on the same
-  compacted operands.
+:func:`correlation_map` is the **reference implementation** — it
+transforms probes and patterns on every call.  The estimator converts
+its (fixed) pattern matrix once with :func:`prepare_pattern_matrix` and
+feeds row-gathered slices of it to the same arithmetic core
+(:func:`_correlate_core`), so per-call work is limited to the M probe
+values.  The results are bit-for-bit identical because the domain
+transform is elementwise (transform-then-gather equals
+gather-then-transform).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +30,6 @@ __all__ = [
     "normalize_rows",
     "prepare_pattern_matrix",
     "correlation_map",
-    "correlation_map_prepared",
-    "correlation_map_batch",
 ]
 
 _EPSILON = 1e-12
@@ -82,10 +74,8 @@ def _to_domain(values_db: np.ndarray, domain: str) -> np.ndarray:
 def prepare_pattern_matrix(pattern_matrix_db: np.ndarray, domain: str = "linear") -> np.ndarray:
     """Convert a pattern matrix into the correlation domain **once**.
 
-    The result feeds :func:`correlation_map_prepared` /
-    :func:`correlation_map_batch` (with ``prepared=True``) and any
-    row-gathered slice of it is bitwise identical to transforming the
-    slice directly — the transform is elementwise.
+    Any row-gathered slice of the result is bitwise identical to
+    transforming the slice directly — the transform is elementwise.
     """
     _check_domain(domain)
     patterns = np.asarray(pattern_matrix_db, dtype=float)
@@ -161,91 +151,3 @@ def correlation_map(
         )
     _check_domain(domain)
     return _correlate(_to_domain(probes, domain), _unit_columns(_to_domain(patterns, domain)))
-
-
-def correlation_map_prepared(
-    probe_values_db: np.ndarray,
-    prepared_patterns: np.ndarray,
-    domain: str = "linear",
-) -> np.ndarray:
-    """Eq. 2 against a matrix already converted by :func:`prepare_pattern_matrix`.
-
-    Only the ``M`` probe values are transformed per call; the result is
-    bitwise identical to :func:`correlation_map` on the dB matrix.
-    """
-    probes = np.asarray(probe_values_db, dtype=float)
-    patterns = np.asarray(prepared_patterns, dtype=float)
-    if probes.ndim != 1:
-        raise ValueError("probe values must be a 1-D vector")
-    if patterns.ndim != 2 or patterns.shape[0] != probes.size:
-        raise ValueError(
-            f"pattern matrix shape {patterns.shape} does not match "
-            f"{probes.size} probe values"
-        )
-    _check_domain(domain)
-    return _correlate(_to_domain(probes, domain), _unit_columns(patterns))
-
-
-def correlation_map_batch(
-    probe_matrix_db: np.ndarray,
-    mask: Optional[np.ndarray],
-    pattern_matrix_db: np.ndarray,
-    domain: str = "linear",
-    prepared: bool = False,
-) -> np.ndarray:
-    """Eq. 2 over a padded batch of probe vectors.
-
-    Row ``t`` of the result equals ``correlation_map(probes[t][mask[t]],
-    patterns[mask[t]], domain)`` **bit for bit**: the probe transform is
-    applied to the whole padded matrix (elementwise, so padding cannot
-    leak into valid entries) and each row's valid entries are compacted
-    before entering the same arithmetic core as the scalar kernel.
-
-    Args:
-        probe_matrix_db: padded probe values, shape ``(T, M)``.
-        mask: boolean validity mask, shape ``(T, M)``; ``None`` means
-            every entry is valid.  Invalid entries may hold any float
-            (NaN padding is conventional).
-        pattern_matrix_db: patterns of the ``M`` probe slots on the
-            search grid, shape ``(M, K)``, shared by every row.
-        domain: correlation domain.
-        prepared: when True, ``pattern_matrix_db`` was already converted
-            by :func:`prepare_pattern_matrix` and is used as-is.
-
-    Returns:
-        Correlation surface per row, shape ``(T, K)``.  Rows with no
-        valid entry are all-NaN.
-    """
-    probes = np.asarray(probe_matrix_db, dtype=float)
-    if probes.ndim != 2:
-        raise ValueError("probe matrix must be 2-D (trials x probes)")
-    patterns = np.asarray(pattern_matrix_db, dtype=float)
-    if patterns.ndim != 2 or patterns.shape[0] != probes.shape[1]:
-        raise ValueError(
-            f"pattern matrix shape {patterns.shape} does not match "
-            f"{probes.shape[1]} probe slots"
-        )
-    _check_domain(domain)
-    if mask is None:
-        valid = np.ones(probes.shape, dtype=bool)
-    else:
-        valid = np.asarray(mask, dtype=bool)
-        if valid.shape != probes.shape:
-            raise ValueError(
-                f"mask shape {valid.shape} does not match probe matrix "
-                f"shape {probes.shape}"
-            )
-    if not prepared:
-        patterns = _to_domain(patterns, domain)
-    with np.errstate(invalid="ignore", over="ignore"):
-        probes_domain = _to_domain(probes, domain)
-
-    surfaces = np.full((probes.shape[0], patterns.shape[1]), np.nan)
-    for row in range(probes.shape[0]):
-        index = np.flatnonzero(valid[row])
-        if index.size == 0:
-            continue
-        surfaces[row] = _correlate(
-            probes_domain[row, index], _unit_columns(patterns[index])
-        )
-    return surfaces

@@ -9,10 +9,9 @@ other, and the product suppresses it.
 Hot-path layout: the pattern matrix is sampled on the search grid
 *and* converted to the correlation domain once at construction, so a
 scalar :meth:`AngleEstimator.estimate` only transforms the ``M`` probe
-values per call, and :meth:`AngleEstimator.estimate_batch` amortizes
-the Python overhead over a whole padded trial matrix.  Both paths are
-bit-for-bit identical to the reference scalar semantics (see
-:mod:`.correlation`).
+values per call, and :meth:`AngleEstimator.estimate_fused_arrays`
+amortizes the Python overhead over a whole padded trial matrix.  The
+batched pass is bit-for-bit identical to the scalar reference.
 """
 
 from __future__ import annotations
@@ -374,36 +373,25 @@ class AngleEstimator:
         Returns:
             One :class:`AngleEstimate` (or ``None``) per row.
         """
-        rows, usable, snr_t, rssi_t = self._batch_arrays(
-            sector_ids, snr_db, rssi_dbm, mask
+        n_probes, best_index, best_corr = self.estimate_fused_arrays(
+            sector_ids, snr_db=snr_db, rssi_dbm=rssi_dbm, mask=mask
         )
-        _obs.inc("estimator_calls_total", path="batched")
-        _obs.inc("estimator_batch_rows_total", rows.shape[0])
-        quality_on = _quality.quality_context() is not None
+        index_to_angles = self.search_grid.index_to_angles
         estimates: List[Optional[AngleEstimate]] = []
-        for trial in range(rows.shape[0]):
-            index = np.flatnonzero(usable[trial])
-            if index.size < 2:
+        for count, index, correlation in zip(
+            n_probes.tolist(), best_index.tolist(), best_corr.tolist()
+        ):
+            if index < 0:
                 estimates.append(None)
                 continue
-            pattern_unit = self._pattern_unit(rows[trial, index])
-            surface = None
-            if snr_t is not None:
-                surface = _correlate(snr_t[trial, index], pattern_unit)
-            if rssi_t is not None:
-                rssi_surface = _correlate(rssi_t[trial, index], pattern_unit)
-                surface = rssi_surface if surface is None else surface * rssi_surface
-            best_index = _finite_argmax(surface)
-            if quality_on:
-                _quality.record_peak_ratio(surface, best_index, int(index.size))
-            azimuth, elevation = self.search_grid.index_to_angles(best_index)
+            azimuth, elevation = index_to_angles(index)
             estimates.append(
                 AngleEstimate(
                     azimuth_deg=azimuth,
                     elevation_deg=elevation,
-                    correlation=float(surface[best_index]),
-                    n_probes_used=int(index.size),
-                    grid_index=best_index,
+                    correlation=correlation,
+                    n_probes_used=count,
+                    grid_index=index,
                 )
             )
         return estimates
@@ -424,9 +412,8 @@ class AngleEstimator:
         finite-aware argmax immediately — no per-row fancy indexing, no
         ``(T, K)`` correlation-surface materialization, and a single
         ``np.errstate`` entry for the whole batch.  Every row computes
-        exactly the values :meth:`estimate_batch` would (same compacted
-        operands, same arithmetic core, same argmax), so downstream
-        consumers are bit-for-bit identical.
+        exactly the values :meth:`estimate` would on that row's usable
+        measurements (same operands, same arithmetic core, same argmax).
 
         Returns:
             ``(n_probes, best_index, best_corr)`` arrays of length
@@ -437,7 +424,7 @@ class AngleEstimator:
         rows, usable, snr_t, rssi_t = self._batch_arrays(
             sector_ids, snr_db, rssi_dbm, mask
         )
-        _obs.inc("estimator_calls_total", path="fused")
+        _obs.inc("estimator_calls_total", path="batched")
         _obs.inc("estimator_batch_rows_total", rows.shape[0])
         n_trials = rows.shape[0]
         n_probes = usable.sum(axis=1)

@@ -259,20 +259,8 @@ class CompressivePolicy:
             sector_ids, snr_db=snr_db, rssi_dbm=rssi_dbm, mask=mask
         )
 
-    def select_fused_batch(
-        self,
-        sector_ids: np.ndarray,
-        snr_db: np.ndarray,
-        rssi_dbm: Optional[np.ndarray] = None,
-        mask: Optional[np.ndarray] = None,
-    ) -> List[SelectionResult]:
-        """Single-pass fused twin of :meth:`select_batch` (bit-identical)."""
-        return self.selector.select_fused_batch(
-            sector_ids, snr_db=snr_db, rssi_dbm=rssi_dbm, mask=mask
-        )
-
     def select_fused_stacked(self, parts):
-        """Stacked multi-batch twin of :meth:`select_fused_batch` — see
+        """Stacked multi-batch twin of :meth:`select_batch` — see
         :meth:`CompressiveSectorSelector.select_fused_stacked`."""
         return self.selector.select_fused_stacked(parts)
 

@@ -5,7 +5,7 @@ sensing-matrix literature (arXiv:2205.11154, arXiv:2308.13268) shows
 designed subsets beat random draws at the same probing budget.  This
 scenario runs the design-space search on the fig7 evaluation surface:
 every registered probe designer × M ∈ {6..24} × the lab (LOS) and
-conference-room (multipath) environments, all on the batched/fused
+conference-room (multipath) environments, all on the batched
 engine, and ranks the designers against the random baseline by mean
 angular error.
 

@@ -7,18 +7,19 @@ perf`` times four workloads:
 
 * scalar ``CompressiveSectorSelector.select`` latency (M=14 probes on
   the default 91×9 search grid — the profiled workload),
-* batched ``select_batch`` throughput over the same trials,
+* batched ``select_batch`` throughput over the same trials (recorded
+  as ``select_fused_per_s``, the name of the single-pass kernel it is),
 * a reduced chamber campaign build (the ``build_testbed`` hot path),
 * ``record_directions`` recording throughput, plus the vectorized
   ``MeasurementModel.observe_batch`` kernel.
 
-Later layers add their own points when present: the fused single-pass
-selection kernel (``select_fused_per_s``), and the scenario engine
-measured at ``jobs=1`` vs ``jobs=4`` against persistent warm runners —
-the sharded executor keeps its fork pool and published shared-memory
-kernels alive between runs, so the timed passes see the steady state
-the service sees, and ``--check`` gates the jobs4/jobs1 ratio at 1.0
-(noise-widened): sharded execution must never lose to serial.
+It also times probe design, the runner's supervision / tracing /
+profiling overheads, and the scenario engine at ``jobs=1`` vs
+``jobs=4`` against persistent warm runners — the sharded executor keeps
+its fork pool and published shared-memory kernels alive between runs,
+so the timed passes see the steady state the service sees, and
+``--check`` gates the jobs4/jobs1 ratio at 1.0 (noise-widened): sharded
+execution must never lose to serial.
 
 Each run appends one machine-readable *trajectory point* to a JSON
 file (``BENCH_core.json`` at the repo root by convention), so the
@@ -105,7 +106,7 @@ _LATENCY_METRICS = (
 
 #: Throughput metrics (higher is better) compared by ``--check`` — a
 #: drop below baseline / ``REGRESSION_FACTOR`` fails the gate.
-_THROUGHPUT_METRICS = ("probe_design_per_s",)
+_THROUGHPUT_METRICS = ("probe_design_per_s", "select_fused_per_s")
 
 
 @dataclass(frozen=True)
@@ -253,9 +254,23 @@ def measure_metrics(
     All workloads are deterministic in ``seed``; the only variance
     between runs is machine noise.
     """
+    from . import obs as obs_module
     from .channel.environment import conference_room
     from .core.compressive import CompressiveSectorSelector
-    from .experiments.common import build_testbed, record_directions
+    from .core.probes import clear_design_cache
+    from .experiments.common import (
+        build_testbed,
+        pack_probe_trials,
+        record_directions,
+        testbed_table_cache_info,
+    )
+    from .experiments.fig7 import Fig7Config, fig7_spec
+    from .experiments.fig9 import Fig9Config, fig9_spec
+    from .measurement.campaign import CampaignConfig, PatternMeasurementCampaign
+    from .measurement.patterns import PatternTable
+    from .obs import profile as profile_module
+    from .runtime import FaultPlan, RetryPolicy, ScenarioRunner
+    from .runtime.registry import available_probe_designers, build_probe_designer
 
     testbed = build_testbed()
     metrics: Dict[str, float] = {}
@@ -284,68 +299,49 @@ def measure_metrics(
         [lambda t=t: estimator.estimate(t) for t in trials], repeats
     )
 
-    # -- batched throughput (absent before the batched engine) ---------
-    if hasattr(selector, "select_batch"):
-        from .experiments.common import pack_probe_trials
+    # -- batched throughput --------------------------------------------
+    # The one batched kernel keeps the fused kernel's metric name, so it
+    # gates against the fused kernel's committed reference.
+    batch = pack_probe_trials(trials)
+    batch_repeats = max(repeats, 1)
+    selector.reset()
+    start = time.perf_counter()
+    for _ in range(batch_repeats):
+        selector.select_batch(*batch)
+    elapsed = time.perf_counter() - start
+    metrics["select_fused_per_s"] = len(trials) * batch_repeats / elapsed
+    start = time.perf_counter()
+    for _ in range(batch_repeats):
+        estimator.estimate_batch(*batch)
+    elapsed = time.perf_counter() - start
+    metrics["estimate_batch_per_s"] = len(trials) * batch_repeats / elapsed
 
-        batch = pack_probe_trials(trials)
-        selector.reset()
-        start = time.perf_counter()
-        batch_repeats = max(repeats, 1)
-        for _ in range(batch_repeats):
-            selector.select_batch(*batch)
-        elapsed = time.perf_counter() - start
-        metrics["select_batch_per_s"] = len(trials) * batch_repeats / elapsed
-        start = time.perf_counter()
-        for _ in range(batch_repeats):
-            estimator.estimate_batch(*batch)
-        elapsed = time.perf_counter() - start
-        metrics["estimate_batch_per_s"] = len(trials) * batch_repeats / elapsed
-        # Fused single-pass kernel (absent before the fused engine):
-        # same trials, same batch layout, so the fused/batched ratio is
-        # directly the win of skipping the intermediate estimate pass.
-        if hasattr(selector, "select_fused_batch"):
-            selector.reset()
-            start = time.perf_counter()
-            for _ in range(batch_repeats):
-                selector.select_fused_batch(*batch)
-            elapsed = time.perf_counter() - start
-            metrics["select_fused_per_s"] = len(trials) * batch_repeats / elapsed
-
-    # -- probe-design throughput (absent before the designer stage) ----
-    try:
-        from .core.probes import clear_design_cache
-        from .runtime.registry import available_probe_designers, build_probe_designer
-    except ImportError:
-        build_probe_designer = None
-    if build_probe_designer is not None:
-        # Cold-cache design cost: every deterministic designer solves
-        # the full pool at two budgets per pass.  The cache is cleared
-        # between passes — the steady state is one design per (table,
-        # M, params) forever, so the interesting number is how fast a
-        # *new* design point is, not the memo hit.
-        design_names = [
-            name for name in available_probe_designers() if name != "random"
-        ]
-        designers = [
-            build_probe_designer(name, testbed.pattern_table)
-            for name in design_names
-        ]
-        pool = list(testbed.tx_sector_ids)
-        design_rng = np.random.default_rng(seed + 5)
-        budgets = (8, 20)
-        design_passes = 3
-        start = time.perf_counter()
-        for _ in range(design_passes):
-            clear_design_cache()
-            for designer in designers:
-                for budget in budgets:
-                    designer.design(budget, pool, design_rng)
-        elapsed = time.perf_counter() - start
+    # -- probe-design throughput ---------------------------------------
+    # Cold-cache design cost: every deterministic designer solves the
+    # full pool at two budgets per pass.  The cache is cleared between
+    # passes — the steady state is one design per (table, M, params)
+    # forever, so the interesting number is how fast a *new* design
+    # point is, not the memo hit.
+    designers = [
+        build_probe_designer(name, testbed.pattern_table)
+        for name in available_probe_designers()
+        if name != "random"
+    ]
+    pool = list(testbed.tx_sector_ids)
+    design_rng = np.random.default_rng(seed + 5)
+    budgets = (8, 20)
+    design_passes = 3
+    start = time.perf_counter()
+    for _ in range(design_passes):
         clear_design_cache()
-        metrics["probe_design_per_s"] = (
-            len(designers) * len(budgets) * design_passes / elapsed
-        )
+        for designer in designers:
+            for budget in budgets:
+                designer.design(budget, pool, design_rng)
+    elapsed = time.perf_counter() - start
+    clear_design_cache()
+    metrics["probe_design_per_s"] = (
+        len(designers) * len(budgets) * design_passes / elapsed
+    )
 
     # -- observe kernel throughput -------------------------------------
     model = testbed.measurement_model
@@ -356,18 +352,15 @@ def measure_metrics(
     for value in true_snr[:512]:
         model.observe(float(value), noise_floor, scalar_rng)
     metrics["observe_scalar_per_s"] = 512 / (time.perf_counter() - start)
-    if hasattr(model, "observe_batch"):
-        batch_rng = np.random.default_rng(seed + 3)
-        start = time.perf_counter()
-        batch_repeats = 20
-        for _ in range(batch_repeats):
-            model.observe_batch(true_snr, noise_floor, batch_rng)
-        elapsed = time.perf_counter() - start
-        metrics["observe_batch_per_s"] = true_snr.size * batch_repeats / elapsed
+    batch_rng = np.random.default_rng(seed + 3)
+    start = time.perf_counter()
+    observe_repeats = 20
+    for _ in range(observe_repeats):
+        model.observe_batch(true_snr, noise_floor, batch_rng)
+    elapsed = time.perf_counter() - start
+    metrics["observe_batch_per_s"] = true_snr.size * observe_repeats / elapsed
 
     # -- campaign build (reduced grid, the build_testbed hot path) -----
-    from .measurement.campaign import CampaignConfig, PatternMeasurementCampaign
-
     campaign = PatternMeasurementCampaign(
         testbed.dut_antenna,
         testbed.dut_codebook,
@@ -385,227 +378,128 @@ def measure_metrics(
         lambda: campaign.run(config, np.random.default_rng(seed + 4))
     )
 
-    # -- scenario engine wall time (absent before the runtime landed) --
+    # -- scenario engine wall time -------------------------------------
+    scenario_specs = (
+        fig7_spec(
+            Fig7Config(
+                probe_counts=(8, 20),
+                lab_azimuth_step_deg=10.0,
+                lab_elevation_step_deg=15.0,
+                conference_azimuth_step_deg=10.0,
+                n_sweeps=1,
+                subsamples_per_sweep=1,
+            )
+        ),
+        fig9_spec(Fig9Config(probe_counts=(6, 14), azimuth_step_deg=10.0, n_sweeps=6)),
+    )
+    # One persistent runner per jobs level: the sharded executor keeps
+    # its fork pool and published shared-memory kernels warm between
+    # runs (the service's steady state), so a fresh runner per pass
+    # would charge pool spawn + kernel publication to jobs=4 only.  A
+    # throwaway warm-up pass per level pays those one-time costs off
+    # the clock, then the timed passes interleave the levels so machine
+    # drift hits both alike, with best-of across passes and the
+    # observed spread recorded for the noise-widened --check gate.
+    levels = ((1, "scenario_fig7_fig9_jobs1_s"), (4, "scenario_fig7_fig9_jobs4_s"))
+    runners = {name: ScenarioRunner(jobs=jobs) for jobs, name in levels}
+    level_times: Dict[str, List[float]] = {name: [] for _, name in levels}
     try:
-        from .experiments.fig7 import Fig7Config, fig7_spec
-        from .experiments.fig9 import Fig9Config, fig9_spec
-        from .runtime import ScenarioRunner
-    except ImportError:
-        ScenarioRunner = None
-    if ScenarioRunner is not None:
-        scenario_specs = (
-            fig7_spec(
-                Fig7Config(
-                    probe_counts=(8, 20),
-                    lab_azimuth_step_deg=10.0,
-                    lab_elevation_step_deg=15.0,
-                    conference_azimuth_step_deg=10.0,
-                    n_sweeps=1,
-                    subsamples_per_sweep=1,
-                )
-            ),
-            fig9_spec(Fig9Config(probe_counts=(6, 14), azimuth_step_deg=10.0, n_sweeps=6)),
-        )
-        # One persistent runner per jobs level: the sharded executor
-        # keeps its fork pool and published shared-memory kernels warm
-        # between runs (the service's steady state), so a fresh runner
-        # per pass would charge pool spawn + kernel publication to
-        # jobs=4 only.  A throwaway warm-up pass per level pays those
-        # one-time costs off the clock, then the timed passes
-        # interleave the levels so machine drift hits both alike, with
-        # best-of across passes and the observed spread recorded for
-        # the noise-widened --check gate.
-        levels = ((1, "scenario_fig7_fig9_jobs1_s"), (4, "scenario_fig7_fig9_jobs4_s"))
-        runners = {name: ScenarioRunner(jobs=jobs) for jobs, name in levels}
-        level_times: Dict[str, List[float]] = {name: [] for _, name in levels}
-        try:
+        for _, name in levels:
+            for scenario_spec in scenario_specs:
+                runners[name].run(scenario_spec)
+        for _ in range(3):
             for _, name in levels:
+                start = time.perf_counter()
                 for scenario_spec in scenario_specs:
                     runners[name].run(scenario_spec)
-            for _ in range(3):
-                for _, name in levels:
-                    start = time.perf_counter()
-                    for scenario_spec in scenario_specs:
-                        runners[name].run(scenario_spec)
-                    level_times[name].append(time.perf_counter() - start)
+                level_times[name].append(time.perf_counter() - start)
+    finally:
+        for scenario_runner in runners.values():
+            scenario_runner.close()
+    for _, name in levels:
+        metrics[name] = float(min(level_times[name]))
+    jobs1 = metrics["scenario_fig7_fig9_jobs1_s"]
+    jobs4 = metrics["scenario_fig7_fig9_jobs4_s"]
+    metrics["scenario_jobs4_over_jobs1_ratio"] = jobs4 / jobs1
+    metrics["scenario_jobs_noise_pct"] = (
+        100.0
+        * float(
+            np.ptp(level_times["scenario_fig7_fig9_jobs1_s"])
+            + np.ptp(level_times["scenario_fig7_fig9_jobs4_s"])
+        )
+        / jobs1
+    )
+
+    # -- runner overheads: supervision, tracing, sampling profiler -----
+    overhead_spec = fig9_spec(
+        Fig9Config(probe_counts=(6, 14), azimuth_step_deg=20.0, n_sweeps=6)
+    )
+
+    def _run_plain():
+        with ScenarioRunner(jobs=1) as runner:
+            runner.run(overhead_spec)
+
+    def _run_supervised():
+        # Full supervision machinery engaged — retry accounting, an
+        # (empty) injector consulted per dispatch — minus any actual
+        # fault, so the delta is pure bookkeeping overhead.
+        with ScenarioRunner(
+            jobs=1,
+            retry=RetryPolicy(max_attempts=3, timeout_s=60.0),
+            faults=FaultPlan(),
+        ) as runner:
+            runner.run(overhead_spec)
+
+    def _run_traced():
+        # Full recording engaged — every span opened, every counter
+        # bumped, the rollup computed — but in memory only, so the delta
+        # is the cost of the observability layer itself, not of file I/O.
+        with ScenarioRunner(jobs=1, obs=obs_module.ObsSession()) as runner:
+            runner.run(overhead_spec)
+
+    def _run_profiled():
+        # The profiler is armed exactly as `run --profile-sampling` arms
+        # it — SIGPROF at the default interval, every sample walking the
+        # live stacks — so the delta is the cost a user pays for leaving
+        # continuous profiling on.
+        profile_module.start_profiling()
+        try:
+            _run_plain()
         finally:
-            for scenario_runner in runners.values():
-                scenario_runner.close()
-        for _, name in levels:
-            metrics[name] = float(min(level_times[name]))
-        jobs1 = metrics["scenario_fig7_fig9_jobs1_s"]
-        jobs4 = metrics["scenario_fig7_fig9_jobs4_s"]
-        metrics["scenario_jobs4_over_jobs1_ratio"] = jobs4 / jobs1
-        metrics["scenario_jobs_noise_pct"] = (
-            100.0
-            * float(
-                np.ptp(level_times["scenario_fig7_fig9_jobs1_s"])
-                + np.ptp(level_times["scenario_fig7_fig9_jobs4_s"])
-            )
-            / jobs1
-        )
+            profile_module.stop_profiling()
 
-    # -- supervision overhead (absent before the fault layer landed) ---
-    try:
-        from .experiments.fig9 import Fig9Config, fig9_spec
-        from .runtime import FaultPlan, RetryPolicy, ScenarioRunner as _Runner
-    except ImportError:
-        _Runner = None
-    if _Runner is not None:
-        supervised_spec = fig9_spec(
-            Fig9Config(probe_counts=(6, 14), azimuth_step_deg=20.0, n_sweeps=6)
-        )
-
-        def _run_unsupervised():
-            with _Runner(jobs=1) as runner:
-                runner.run(supervised_spec)
-
-        def _run_supervised():
-            # Full supervision machinery engaged — retry accounting,
-            # an (empty) injector consulted per dispatch — minus any
-            # actual fault, so the delta is pure bookkeeping overhead.
-            with _Runner(
-                jobs=1,
-                retry=RetryPolicy(max_attempts=3, timeout_s=60.0),
-                faults=FaultPlan(),
-            ) as runner:
-                runner.run(supervised_spec)
-
+    for plain_name, variant_name, stem, variant in (
+        ("runner_unsupervised_s", "runner_supervised_s", "supervision", _run_supervised),
+        ("runner_untraced_s", "runner_traced_s", "obs", _run_traced),
+        ("runner_unprofiled_s", "runner_profiled_s", "profile", _run_profiled),
+    ):
         # Interleave the two workloads so slow drift on a shared runner
         # (thermal throttling, a noisy neighbour arriving mid-measure)
         # hits both sides alike, take medians rather than single best
         # passes, and record the observed run-to-run spread so the
         # --check gate can widen itself on noisy machines instead of
         # flaking on a small absolute threshold.
-        unsupervised_times: List[float] = []
-        supervised_times: List[float] = []
+        plain_times: List[float] = []
+        variant_times: List[float] = []
         for _ in range(5):
             start = time.perf_counter()
-            _run_unsupervised()
-            unsupervised_times.append(time.perf_counter() - start)
+            _run_plain()
+            plain_times.append(time.perf_counter() - start)
             start = time.perf_counter()
-            _run_supervised()
-            supervised_times.append(time.perf_counter() - start)
-        unsupervised = float(np.median(unsupervised_times))
-        supervised = float(np.median(supervised_times))
-        metrics["runner_unsupervised_s"] = unsupervised
-        metrics["runner_supervised_s"] = supervised
-        metrics["runner_supervision_overhead_pct"] = (
-            100.0 * (supervised - unsupervised) / unsupervised
-        )
-        metrics["runner_supervision_noise_pct"] = (
-            100.0
-            * float(np.ptp(unsupervised_times) + np.ptp(supervised_times))
-            / unsupervised
+            variant()
+            variant_times.append(time.perf_counter() - start)
+        plain = float(np.median(plain_times))
+        with_variant = float(np.median(variant_times))
+        metrics[plain_name] = plain
+        metrics[variant_name] = with_variant
+        metrics[f"runner_{stem}_overhead_pct"] = 100.0 * (with_variant - plain) / plain
+        metrics[f"runner_{stem}_noise_pct"] = (
+            100.0 * float(np.ptp(plain_times) + np.ptp(variant_times)) / plain
         )
 
-    # -- observability overhead (absent before repro.obs landed) -------
-    try:
-        from . import obs as _obs_module
-        from .experiments.fig9 import Fig9Config, fig9_spec
-        from .runtime import ScenarioRunner as _ObsRunner
-    except ImportError:
-        _ObsRunner = None
-    if _ObsRunner is not None:
-        obs_spec = fig9_spec(
-            Fig9Config(probe_counts=(6, 14), azimuth_step_deg=20.0, n_sweeps=6)
-        )
-
-        def _run_untraced():
-            with _ObsRunner(jobs=1) as runner:
-                runner.run(obs_spec)
-
-        def _run_traced():
-            # Full recording engaged — every span opened, every counter
-            # bumped, the rollup computed — but in memory only, so the
-            # delta is the cost of the observability layer itself, not
-            # of file I/O.
-            with _ObsRunner(jobs=1, obs=_obs_module.ObsSession()) as runner:
-                runner.run(obs_spec)
-
-        # Same interleaved-medians discipline as the supervision
-        # overhead above: drift hits both sides alike, and the observed
-        # spread widens the --check gate on noisy machines.
-        untraced_times: List[float] = []
-        traced_times: List[float] = []
-        for _ in range(5):
-            start = time.perf_counter()
-            _run_untraced()
-            untraced_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            _run_traced()
-            traced_times.append(time.perf_counter() - start)
-        untraced = float(np.median(untraced_times))
-        traced = float(np.median(traced_times))
-        metrics["runner_untraced_s"] = untraced
-        metrics["runner_traced_s"] = traced
-        metrics["runner_obs_overhead_pct"] = 100.0 * (traced - untraced) / untraced
-        metrics["runner_obs_noise_pct"] = (
-            100.0 * float(np.ptp(untraced_times) + np.ptp(traced_times)) / untraced
-        )
-
-    # -- sampling-profiler overhead (absent before obs.profile landed) -
-    try:
-        from .obs import profile as _profile_module
-        from .experiments.fig9 import Fig9Config, fig9_spec
-        from .runtime import ScenarioRunner as _ProfRunner
-    except ImportError:
-        _ProfRunner = None
-    if _ProfRunner is not None:
-        profile_spec = fig9_spec(
-            Fig9Config(probe_counts=(6, 14), azimuth_step_deg=20.0, n_sweeps=6)
-        )
-
-        def _run_unprofiled():
-            with _ProfRunner(jobs=1) as runner:
-                runner.run(profile_spec)
-
-        def _run_profiled():
-            # The profiler is armed exactly as `run --profile-sampling`
-            # arms it — SIGPROF at the default interval, every sample
-            # walking the live stacks — so the delta is the cost a user
-            # pays for leaving continuous profiling on.
-            _profile_module.start_profiling()
-            try:
-                with _ProfRunner(jobs=1) as runner:
-                    runner.run(profile_spec)
-            finally:
-                _profile_module.stop_profiling()
-
-        # Same interleaved-medians discipline as the supervision and
-        # observability overheads above.
-        unprofiled_times: List[float] = []
-        profiled_times: List[float] = []
-        for _ in range(5):
-            start = time.perf_counter()
-            _run_unprofiled()
-            unprofiled_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            _run_profiled()
-            profiled_times.append(time.perf_counter() - start)
-        unprofiled = float(np.median(unprofiled_times))
-        profiled = float(np.median(profiled_times))
-        metrics["runner_unprofiled_s"] = unprofiled
-        metrics["runner_profiled_s"] = profiled
-        metrics["runner_profile_overhead_pct"] = (
-            100.0 * (profiled - unprofiled) / unprofiled
-        )
-        metrics["runner_profile_noise_pct"] = (
-            100.0
-            * float(np.ptp(unprofiled_times) + np.ptp(profiled_times))
-            / unprofiled
-        )
-
-    # -- testbed disk cache (absent before the cache landed) -----------
-    try:
-        from .experiments.common import testbed_table_cache_info
-
-        info = testbed_table_cache_info()
-    except ImportError:
-        info = None
-    if info is not None and info.get("path") and pathlib.Path(info["path"]).is_file():
-        from .measurement.patterns import PatternTable
-
+    # -- testbed disk cache --------------------------------------------
+    info = testbed_table_cache_info()
+    if info.get("path") and pathlib.Path(info["path"]).is_file():
         start = time.perf_counter()
         PatternTable.load(info["path"])
         metrics["testbed_table_load_s"] = time.perf_counter() - start

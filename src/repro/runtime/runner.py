@@ -156,11 +156,6 @@ _FAIL_FAST = RetryPolicy(max_attempts=1)
 #: Sentinel distinguishing "not passed" from an explicit None override.
 _UNSET = object()
 
-#: Placeholder for TrialBlock fields the evaluation path never reads —
-#: shared-memory block reconstruction ships only the four eval arrays.
-_EMPTY_INTP = np.empty(0, dtype=np.intp)
-
-
 @dataclass(frozen=True)
 class TrialBlock:
     """All planned trials of one recording, padded into batch arrays.
@@ -219,10 +214,24 @@ _WORKER_CONTEXTS: Dict[str, PolicyContext] = {}
 _WORKER_POLICIES: Dict[Tuple[str, str], Any] = {}
 
 
-def _reset_worker_caches() -> None:
-    """Drop every in-process warm-up cache (policies, contexts, testbeds)."""
+def _drop_worker_policies() -> None:
+    """Drop every cached context and policy.
+
+    :func:`~.shm.attach` calls this just before it unmaps an evicted
+    segment.  numpy views do not pin the mapping, so a selector left in
+    the caches would read unmapped memory (a worker SIGSEGV) or, once
+    the address is reused, another segment's bytes.  Eviction is rare
+    (it needs more live kernel configurations than the attach cap), so
+    the next tasks simply rebuild, re-seeding from the segments that
+    are still attached.
+    """
     _WORKER_CONTEXTS.clear()
     _WORKER_POLICIES.clear()
+
+
+def _reset_worker_caches() -> None:
+    """Drop every in-process warm-up cache (policies, contexts, testbeds)."""
+    _drop_worker_policies()
     _shm_detach_all()
     from ..experiments.common import build_testbed
 
@@ -238,29 +247,41 @@ def _build_worker_policy(
     from .registry import build_policy, load_builtin
 
     load_builtin()
+    # Zero-copy warm-up: seed the selector cache from the published
+    # shared-memory kernels so build_policy skips re-sampling the
+    # pattern matrices, and — when the spec carries a probe_design
+    # block — seed the probe-design cache from the published subsets
+    # so the policy attaches the supervisor's finished design instead
+    # of re-running the greedy search.  Any attach/seed problem (e.g.
+    # the segment vanished with its publisher) degrades to plain
+    # construction — the seeded arrays are byte copies (and designs
+    # are deterministic in the spec), so the two paths are
+    # bit-identical and degradation is invisible in the results.
+    #
+    # Attach before reading the caches: attaching may evict an older
+    # segment, and the caches are dropped before it is unmapped.
+    views = None
+    if manifest is not None:
+        try:
+            views = _shm_attach(manifest, on_evict=_drop_worker_policies)
+        except Exception as error:  # pragma: no cover - degraded path
+            _LOGGER.warning(
+                "shared-kernel attach failed (%s: %s); rebuilding from spec",
+                type(error).__name__,
+                error,
+            )
     context = _WORKER_CONTEXTS.get(testbed_key)
     if context is None:
         testbed = TestbedSpec.from_json(json.loads(testbed_key)).build()
         context = PolicyContext(testbed=testbed)
         _WORKER_CONTEXTS[testbed_key] = context
     spec = PolicySpec.from_json(json.loads(policy_key))
-    if manifest is not None:
-        # Zero-copy warm-up: seed the selector cache from the published
-        # shared-memory kernels so build_policy skips re-sampling the
-        # pattern matrices, and — when the spec carries a probe_design
-        # block — seed the probe-design cache from the published
-        # subsets so the policy attaches the supervisor's finished
-        # design instead of re-running the greedy search.  Any
-        # attach/seed problem (e.g. the segment vanished with its
-        # publisher) degrades to plain construction — the seeded arrays
-        # are byte copies (and designs are deterministic in the spec),
-        # so the two paths are bit-identical and degradation is
-        # invisible in the results.
+    if views is not None:
         try:
-            seed_shared_selector(spec, context, _shm_attach(manifest))
+            seed_shared_selector(spec, context, views)
         except Exception as error:  # pragma: no cover - degraded path
             _LOGGER.warning(
-                "shared-kernel attach failed (%s: %s); rebuilding from spec",
+                "shared-kernel seeding failed (%s: %s); rebuilding from spec",
                 type(error).__name__,
                 error,
             )
@@ -350,61 +371,52 @@ def _eval_block_scalar(policy, block: TrialBlock) -> List:
     return results
 
 
-def _batched_entry(policy) -> Tuple[Optional[Callable], str]:
-    """The fastest batched entry point a policy offers.
-
-    Preference order: the fused single-pass kernel
-    (``select_fused_batch``, bit-identical to ``select_batch`` by
-    contract), then the plain batched kernel, then none (scalar).  The
-    returned label feeds the ``runner_kernel_path_total`` metric.
-    """
-    entry = getattr(policy, "select_fused_batch", None)
-    if entry is not None:
-        return entry, "fused"
-    entry = getattr(policy, "select_batch", None)
-    if entry is not None:
-        return entry, "batched"
-    return None, "scalar"
+def _eval_block(policy, block: TrialBlock) -> List:
+    """Evaluate one block through the policy's ``select_batch``, or the
+    scalar reference path when the policy has none."""
+    begin = time.perf_counter()
+    select_batch = getattr(policy, "select_batch", None)
+    if select_batch is None:
+        results = _eval_block_scalar(policy, block)
+    else:
+        results = select_batch(
+            block.sector_ids,
+            snr_db=block.snr_db,
+            rssi_dbm=block.rssi_dbm,
+            mask=block.mask,
+        )
+    path = "scalar" if select_batch is None else "batched"
+    _obs.inc("runner_kernel_path_total", path=path)
+    _obs.observe("runner_block_seconds", time.perf_counter() - begin)
+    return results
 
 
 def _eval_block_guarded(policy, block: TrialBlock) -> Tuple[List, Dict[str, Any]]:
-    """Evaluate one fresh-state block, degrading fused/batched → scalar.
+    """Evaluate one fresh-state block, degrading batched → scalar.
 
     A failing batched kernel is not fatal: the block is recomputed on
-    the scalar reference path (bit-identical by the PR-2 equivalence
-    contract) after a state reset, and the degradation is reported in
+    the scalar reference path (bit-identical by the scalar ↔ batched
+    equivalence contract) after a state reset, and the degradation is reported in
     the returned info dict so the run's health section can surface it.
     """
     begin = time.perf_counter()
-    entry, path = _batched_entry(policy)
-    if entry is not None:
-        try:
-            results = entry(
-                block.sector_ids,
-                snr_db=block.snr_db,
-                rssi_dbm=block.rssi_dbm,
-                mask=block.mask,
-            )
-            _obs.inc("runner_kernel_path_total", path=path)
-            _obs.observe("runner_block_seconds", time.perf_counter() - begin)
-            return results, {"fallback": False}
-        except Exception as error:
-            _LOGGER.warning(
-                "batched kernel failed on recording %d (%s: %s); "
-                "falling back to the scalar reference path",
-                block.recording_index,
-                type(error).__name__,
-                error,
-            )
-            policy.reset()
-            results = _eval_block_scalar(policy, block)
-            _obs.inc("runner_kernel_path_total", path="scalar")
-            _obs.observe("runner_block_seconds", time.perf_counter() - begin)
-            return results, {"fallback": True}
+    try:
+        return _eval_block(policy, block), {"fallback": False}
+    except Exception as error:
+        if not hasattr(policy, "select_batch"):
+            raise
+        _LOGGER.warning(
+            "batched kernel failed on recording %d (%s: %s); "
+            "falling back to the scalar reference path",
+            block.recording_index,
+            type(error).__name__,
+            error,
+        )
+    policy.reset()
     results = _eval_block_scalar(policy, block)
     _obs.inc("runner_kernel_path_total", path="scalar")
     _obs.observe("runner_block_seconds", time.perf_counter() - begin)
-    return results, {"fallback": False}
+    return results, {"fallback": True}
 
 
 def _worker_run_block(
@@ -513,7 +525,6 @@ def _worker_run_chunk(
     chunk: Sequence[Tuple[int, Any]],
     obs_metas: Optional[Dict[int, Dict[str, Any]]] = None,
     manifest: Optional[SharedKernelManifest] = None,
-    blocks_manifest: Optional[SharedKernelManifest] = None,
 ):
     """Evaluate several independent blocks in one pool task.
 
@@ -524,11 +535,8 @@ def _worker_run_chunk(
     in chunks; directive-carrying blocks keep their own single-block
     task so crash/hang/exception attribution stays per-block exact.
 
-    ``chunk`` holds ``(index, TrialBlock)`` pairs, or — when
-    ``blocks_manifest`` names a published block segment —
-    ``(index, recording_index)`` pairs, and the trial arrays are
-    read-only views mapped from shared memory instead of pickled
-    copies (byte-identical by construction).
+    ``chunk`` holds ``(index, TrialBlock)`` pairs; the blocks travel
+    pickled with the task.
 
     Returns ``(done, failure)``: ``done`` maps block index → the
     ``(results, info)`` payload of every block that finished, and
@@ -543,34 +551,14 @@ def _worker_run_chunk(
     """
     done: Dict[int, Tuple[Sequence, Dict[str, Any]]] = {}
     try:
-        if blocks_manifest is not None:
-            views = _shm_attach(blocks_manifest)
-            indexed_blocks: List[Tuple[int, TrialBlock]] = [
-                (
-                    index,
-                    TrialBlock(
-                        recording_index=recording_index,
-                        sector_ids=views[f"{index}.ids"],
-                        snr_db=views[f"{index}.snr"],
-                        rssi_dbm=views[f"{index}.rssi"],
-                        mask=views[f"{index}.mask"],
-                        sweep_indices=_EMPTY_INTP,
-                        subsample_indices=_EMPTY_INTP,
-                        probes_requested=_EMPTY_INTP,
-                    ),
-                )
-                for index, recording_index in chunk
-            ]
-        else:
-            indexed_blocks = list(chunk)
         policy = _worker_policy(testbed_key, policy_key, manifest)
     except Exception as error:
         return done, (chunk[0][0], error)
     if obs_metas is None:
-        stacked = _eval_chunk_stacked(policy, indexed_blocks)
+        stacked = _eval_chunk_stacked(policy, chunk)
         if stacked is not None:
             return stacked, None
-    for index, block in indexed_blocks:
+    for index, block in chunk:
         obs_meta = None if obs_metas is None else obs_metas.get(index)
         try:
             if obs_meta is None:
@@ -669,7 +657,6 @@ class ScenarioRunner:
         self._injected_seen: set = set()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._shm = KernelPublisher()
-        self._run_digest: Optional[str] = None
         self._contexts: Dict[int, PolicyContext] = {}
         self._policy_timings: Dict[str, float] = {}
         self._policy_span_id: Optional[str] = None
@@ -830,10 +817,6 @@ class ScenarioRunner:
         previous_session = _obs.activate(self.obs) if traced else None
         if traced:
             self.obs.reset()
-        # The digest keys this run's published block segments — planning
-        # is deterministic in (spec, seed), so a repeat of the same spec
-        # re-uses the segments without copying a byte.
-        self._run_digest = spec.digest()
         # Quality exemplars label by environment; specs without one
         # (single-environment scenarios) fall back to the scenario name.
         self._quality_environment = str(
@@ -847,7 +830,6 @@ class ScenarioRunner:
         finally:
             # Only the per-run journal closes here; the worker pool and
             # published kernels survive for the next run (see close()).
-            self._run_digest = None
             self._quality_environment = None
             self._deadline_at = None
             self._close_store()
@@ -1083,7 +1065,7 @@ class ScenarioRunner:
         records: List[TrialRecord] = []
         for block in blocks:
             self._check_abort()
-            records.extend(self._records_of(block, self._evaluate_block(policy, block)))
+            records.extend(self._records_of(block, _eval_block(policy, block)))
         return records
 
     def _execute_recording(
@@ -1287,24 +1269,6 @@ class ScenarioRunner:
         if kind == "hang":
             time.sleep(float(directive.get("hang_s", 30.0)))
 
-    def _evaluate_block(self, policy, block: TrialBlock) -> List:
-        """The unguarded evaluation used by the stateful plan path."""
-        begin = time.perf_counter()
-        entry, path = _batched_entry(policy)
-        if entry is not None:
-            results = entry(
-                block.sector_ids,
-                snr_db=block.snr_db,
-                rssi_dbm=block.rssi_dbm,
-                mask=block.mask,
-            )
-            _obs.inc("runner_kernel_path_total", path=path)
-        else:
-            results = _eval_block_scalar(policy, block)
-            _obs.inc("runner_kernel_path_total", path="scalar")
-        _obs.observe("runner_block_seconds", time.perf_counter() - begin)
-        return results
-
     @staticmethod
     def _records_of(block: TrialBlock, results: Sequence) -> List[TrialRecord]:
         return [
@@ -1341,33 +1305,6 @@ class ScenarioRunner:
         if not kernels:
             return None
         return self._shm.publish(f"{testbed_key}::{policy_key}", kernels)
-
-    def _publish_blocks(
-        self,
-        blocks: Sequence[TrialBlock],
-        policy_key: str,
-        call_index: int,
-    ) -> Optional[SharedKernelManifest]:
-        """Publish an execute call's trial arrays over shared memory.
-
-        Chunk tasks then carry block *indices* instead of pickled
-        arrays, and workers map read-only views — the zero-copy half of
-        the dispatch.  Keyed by (run digest, policy, call ordinal):
-        planning is deterministic in the spec, so repeated runs of the
-        same spec (the perf harness, service re-submissions) reuse the
-        published segment byte-for-byte.  Outside :meth:`run` there is
-        no digest to key on, and blocks fall back to pickling.
-        """
-        if self._run_digest is None:
-            return None
-        arrays: Dict[str, np.ndarray] = {}
-        for index, block in enumerate(blocks):
-            arrays[f"{index}.ids"] = block.sector_ids
-            arrays[f"{index}.snr"] = block.snr_db
-            arrays[f"{index}.rssi"] = block.rssi_dbm
-            arrays[f"{index}.mask"] = block.mask
-        key = f"blocks::{self._run_digest}::{policy_key}::c{call_index}"
-        return self._shm.publish(key, arrays)
 
     @staticmethod
     def _chunks_of(indices: Sequence[int], jobs: int) -> List[List[int]]:
@@ -1420,9 +1357,6 @@ class ScenarioRunner:
         testbed_key = testbed_spec.key()
         worker_policy_key = policy_spec.key()
         manifest = self._publish_kernels(policy, testbed_key, worker_policy_key)
-        blocks_manifest = self._publish_blocks(
-            blocks, worker_policy_key, call_index
-        )
         traced = _obs.enabled()
         # Ship the active quality context (if any) to workers inside
         # obs_meta; the worker pops it back out before spanning, so
@@ -1497,21 +1431,13 @@ class ScenarioRunner:
                         if traced
                         else None
                     )
-                    if blocks_manifest is not None:
-                        payload = [
-                            (index, blocks[index].recording_index)
-                            for index in chunk
-                        ]
-                    else:
-                        payload = [(index, blocks[index]) for index in chunk]
                     future = pool.submit(
                         _worker_run_chunk,
                         testbed_key,
                         worker_policy_key,
-                        payload,
+                        [(index, blocks[index]) for index in chunk],
                         chunk_metas,
                         manifest,
-                        blocks_manifest,
                     )
                     tasks.append(("chunk", chunk, future))
             except _POOL_FAULTS as error:

@@ -42,7 +42,7 @@ import secrets
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -64,11 +64,11 @@ _ALIGN = 64
 _SEGMENT_PREFIX = "repro-kernels-"
 
 #: Publisher-side cap on live segments.  Long-lived runners (the
-#: service) publish one kernel segment per policy configuration and one
-#: block segment per (spec, policy, execute-call); beyond the cap the
-#: oldest segment is unlinked FIFO.  Eviction happens only inside
-#: ``publish`` — never while a round is in flight — so a manifest
-#: handed to the current dispatch always outlives it.
+#: service) publish one kernel segment per (testbed, policy)
+#: configuration; beyond the cap the oldest segment is unlinked FIFO.
+#: Eviction happens only inside ``publish`` — never while a round is in
+#: flight — so a manifest handed to the current dispatch always
+#: outlives it.
 _MAX_SEGMENTS = 128
 
 #: Worker-side cap on cached attachments, bounding mapped pages when a
@@ -210,13 +210,21 @@ class KernelPublisher:
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, Dict[str, np.ndarray]]] = {}
 
 
-def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
+def attach(
+    manifest: SharedKernelManifest,
+    on_evict: Optional[Callable[[], None]] = None,
+) -> Dict[str, np.ndarray]:
     """Map a published segment and return read-only array views.
 
     Safe to call repeatedly — each process maps a segment once and
     reuses the views.  Raises ``FileNotFoundError`` when the segment
     no longer exists (the publisher closed); callers degrade to
     rebuilding from the spec.
+
+    Past ``_MAX_ATTACHED`` mappings the oldest one is unmapped.  numpy
+    views do not keep a mapping alive, so ``on_evict()`` runs first:
+    the caller must drop every object that may still hold views of an
+    older segment.
     """
     cached = _ATTACHED.get(manifest.segment)
     if cached is not None:
@@ -231,6 +239,8 @@ def attach(manifest: SharedKernelManifest) -> Dict[str, np.ndarray]:
     while len(_ATTACHED) > _MAX_ATTACHED:
         oldest = next(iter(_ATTACHED))
         evicted, _views = _ATTACHED.pop(oldest)
+        if on_evict is not None:
+            on_evict()
         try:
             evicted.close()
         except BufferError:  # pragma: no cover - live views still held
@@ -281,11 +291,11 @@ def sweep_leaked_segments() -> List[str]:
 
 
 def detach_all() -> None:
-    """Drop every cached attachment (worker cache-reset path).
+    """Unmap every cached attachment (worker cache-reset path).
 
-    Mappings whose views are still referenced elsewhere stay mapped
-    (``close`` raises ``BufferError`` and the segment object is simply
-    dropped); a later :func:`attach` re-maps from scratch.
+    numpy views do not keep a mapping alive, so callers drop every
+    object holding views first; a later :func:`attach` re-maps from
+    scratch.
     """
     attached = dict(_ATTACHED)
     _ATTACHED.clear()

@@ -1,9 +1,9 @@
 """Scalar↔batched equivalence for the estimation engine (tier 1).
 
-The batched kernels (`correlation_map_batch`, `estimate_batch`,
-`select_batch`) promise **bit-for-bit** agreement with the scalar
-reference path — not approximate agreement — because every experiment
-was rewritten on top of them with pinned expected outputs.  These tests
+The batched kernels (`estimate_batch`, `select_batch`) promise
+**bit-for-bit** agreement with the scalar reference path — not
+approximate agreement — because every experiment was rewritten on top
+of them with pinned expected outputs.  These tests
 drive both paths over hypothesis-generated ragged, NaN-ridden batches
 in every fusion mode and correlation domain and assert exact equality,
 plus the perf guards: the precomputed-matrix path must never transform
@@ -18,12 +18,6 @@ from hypothesis import strategies as st
 
 import repro.core.correlation as correlation
 from repro.core.compressive import CompressiveSectorSelector
-from repro.core.correlation import (
-    correlation_map,
-    correlation_map_batch,
-    correlation_map_prepared,
-    prepare_pattern_matrix,
-)
 from repro.core.estimator import _UNIT_CACHE_LIMIT, AngleEstimator
 from repro.core.measurements import ProbeMeasurement
 from repro.experiments.common import pack_probe_trials, random_probe_columns
@@ -91,46 +85,6 @@ def _scalar_measurements(trial):
         for s in trial
         if s[3]
     ]
-
-
-class TestCorrelationMapBatch:
-    @pytest.mark.parametrize("domain", DOMAINS)
-    @settings(max_examples=60, deadline=None)
-    @given(batch=batch, data=st.data())
-    def test_rows_match_reference_bitwise(self, domain, batch, data):
-        ids, snr, _, mask = _unpack(batch)
-        probes, valid = snr, mask
-        patterns = TABLE.sample_matrix(TABLE.grid)[: probes.shape[1]]
-        surfaces = correlation_map_batch(probes, valid, patterns, domain=domain)
-        assert surfaces.shape == (probes.shape[0], patterns.shape[1])
-        for row in range(probes.shape[0]):
-            keep = valid[row]
-            if not keep.any():
-                assert np.isnan(surfaces[row]).all()
-                continue
-            expected = correlation_map(probes[row][keep], patterns[keep], domain=domain)
-            assert np.array_equal(surfaces[row], expected, equal_nan=True)
-
-    @pytest.mark.parametrize("domain", DOMAINS)
-    def test_prepared_matches_unprepared(self, domain):
-        rng = np.random.default_rng(3)
-        patterns = TABLE.sample_matrix(TABLE.grid)
-        probes = rng.uniform(-10.0, 10.0, (4, patterns.shape[0]))
-        prepared = prepare_pattern_matrix(patterns, domain)
-        plain = correlation_map_batch(probes, None, patterns, domain=domain)
-        fast = correlation_map_batch(
-            probes, None, prepared, domain=domain, prepared=True
-        )
-        assert np.array_equal(plain, fast)
-        for row in range(probes.shape[0]):
-            assert np.array_equal(
-                plain[row], correlation_map_prepared(probes[row], prepared, domain)
-            )
-
-    def test_mask_shape_mismatch_rejected(self):
-        patterns = TABLE.sample_matrix(TABLE.grid)[:3]
-        with pytest.raises(ValueError, match="mask shape"):
-            correlation_map_batch(np.zeros((2, 3)), np.ones((2, 4), bool), patterns)
 
 
 class TestEstimateBatch:
@@ -459,3 +413,18 @@ class TestPerfGuards:
             {"points": [{"label": "baseline", "metrics": {}}]},
             {"probe_design_per_s": 1.0},
         ) == []
+
+    def test_batched_kernel_gates_against_fused_reference(self):
+        """select_batch throughput is recorded as select_fused_per_s and
+        gated against the latest committed fused-kernel point."""
+        from repro import perf
+
+        data = {
+            "points": [
+                {"label": "baseline", "metrics": {"select_batch_per_s": 20000.0}},
+                {"label": "fused-sharded", "metrics": {"select_fused_per_s": 30000.0}},
+            ]
+        }
+        assert perf.check_against_baseline(data, {"select_fused_per_s": 29000.0}) == []
+        failures = perf.check_against_baseline(data, {"select_fused_per_s": 14000.0})
+        assert failures and "select_fused_per_s" in failures[0]

@@ -2,10 +2,10 @@
 
 Two promises from the sharded-execution layer (DESIGN.md §12):
 
-* the fused single-pass kernel (``select_fused_batch`` and its stacked
-  multi-block twin) is **bit-for-bit** identical to the scalar and
-  batched reference paths, under NaN-ridden spectra, single-probe
-  rows and arbitrary probe subsets;
+* the batched kernel (``select_batch`` and its stacked multi-block
+  twin ``select_fused_stacked``) is **bit-for-bit** identical to the
+  scalar reference path, under NaN-ridden spectra, single-probe rows
+  and arbitrary probe subsets;
 * shared-memory segments published for pool workers never outlive
   their :class:`~repro.runtime.shm.KernelPublisher` — runner close,
   pool-crash replacement and eviction all leave ``/dev/shm`` clean,
@@ -69,6 +69,31 @@ batch = st.integers(min_value=2, max_value=5).flatmap(
     )
 )
 
+# One-probe trials: every row falls back (or keeps the last selection).
+single_probe_batch = st.lists(
+    st.lists(slot, min_size=1, max_size=1), min_size=1, max_size=4
+)
+
+
+def _subset_rows(width):
+    """Rows of unique sorted sectors (the paper's M-probe draw), all valid."""
+    row = st.tuples(
+        st.permutations(range(N_SECTORS)).map(lambda order: sorted(order[:width])),
+        st.lists(
+            st.floats(min_value=-15.0, max_value=15.0),
+            min_size=width,
+            max_size=width,
+        ),
+    ).map(
+        lambda pair: [
+            (sector, value, value - 60.0, True) for sector, value in zip(*pair)
+        ]
+    )
+    return st.lists(row, min_size=1, max_size=4)
+
+
+subset_batch = st.integers(min_value=2, max_value=N_SECTORS).flatmap(_subset_rows)
+
 
 def _unpack(trials):
     ids = np.array([[s[0] for s in trial] for trial in trials])
@@ -86,89 +111,68 @@ def _scalar_measurements(trial):
     ]
 
 
+def _assert_paths_match_scalar(trials, fusion, domain):
+    """The equivalence property: scalar ``select`` over the rows in order,
+    ``select_batch`` over the padded batch, and each part of a two-part
+    ``select_fused_stacked`` agree bit for bit — refusals included."""
+    ids, snr, rssi, mask = _unpack(trials)
+    scalar = CompressiveSectorSelector(TABLE, fusion=fusion, domain=domain)
+    expected = []
+    try:
+        for trial in trials:
+            expected.append(scalar.select(_scalar_measurements(trial)))
+    except ValueError:
+        expected = None
+    batched = CompressiveSectorSelector(TABLE, fusion=fusion, domain=domain)
+    stacked = CompressiveSectorSelector(TABLE, fusion=fusion, domain=domain)
+    parts = [(ids, snr, rssi, mask)] * 2
+    if expected is None:
+        # NaN drops left a row under two finite probes: every path
+        # must refuse identically.
+        with pytest.raises(ValueError):
+            batched.select_batch(ids, snr, rssi_dbm=rssi, mask=mask)
+        with pytest.raises(ValueError):
+            stacked.select_fused_stacked(parts)
+        return
+    assert batched.select_batch(ids, snr, rssi_dbm=rssi, mask=mask) == expected
+    assert batched.last_selection == scalar.last_selection
+    assert stacked.select_fused_stacked(parts) == [expected, expected]
+
+
 class TestFusedEquality:
-    """scalar ↔ batched ↔ fused, bit for bit."""
+    """scalar ↔ batched ↔ stacked, bit for bit, over three input families."""
+
+    def test_fused_name_is_the_batched_kernel(self):
+        assert (
+            CompressiveSectorSelector.select_fused_batch
+            is CompressiveSectorSelector.select_batch
+        )
 
     @pytest.mark.parametrize("fusion", FUSIONS)
     @pytest.mark.parametrize("domain", DOMAINS)
     @settings(max_examples=40, deadline=None)
     @given(batch=batch)
     def test_fused_matches_scalar_and_batched_bitwise(self, fusion, domain, batch):
-        ids, snr, rssi, mask = _unpack(batch)
-        scalar = CompressiveSectorSelector(TABLE, fusion=fusion, domain=domain)
-        scalar_results = []
-        scalar_raises = False
-        for trial in batch:
-            try:
-                scalar_results.append(scalar.select(_scalar_measurements(trial)))
-            except ValueError:
-                scalar_raises = True
-                break
-        batched = CompressiveSectorSelector(TABLE, fusion=fusion, domain=domain)
-        fused = CompressiveSectorSelector(TABLE, fusion=fusion, domain=domain)
-        if scalar_raises:
-            # NaN drops left a row under two finite probes: every path
-            # must refuse identically.
-            with pytest.raises(ValueError):
-                batched.select_batch(ids, snr, rssi_dbm=rssi, mask=mask)
-            with pytest.raises(ValueError):
-                fused.select_fused_batch(ids, snr, rssi_dbm=rssi, mask=mask)
-            return
-        batched_results = batched.select_batch(ids, snr, rssi_dbm=rssi, mask=mask)
-        fused_results = fused.select_fused_batch(ids, snr, rssi_dbm=rssi, mask=mask)
-        assert fused_results == scalar_results
-        assert fused_results == batched_results
-        assert fused.last_selection == scalar.last_selection
+        _assert_paths_match_scalar(batch, fusion, domain)
 
     @settings(max_examples=25, deadline=None)
     @given(
-        sector=st.integers(min_value=0, max_value=N_SECTORS - 1),
-        snr=probe_value,
-        rssi=probe_value,
-        valid=st.booleans(),
+        batch=single_probe_batch,
+        fusion=st.sampled_from(FUSIONS),
+        domain=st.sampled_from(DOMAINS),
     )
-    def test_single_probe_rows(self, sector, snr, rssi, valid):
+    def test_single_probe_rows(self, batch, fusion, domain):
         """One-probe trials exercise the underfilled-row fallback edge."""
-        ids = np.array([[sector]])
-        snr_a = np.array([[snr]])
-        rssi_a = np.array([[rssi]])
-        mask = np.array([[valid]])
-        scalar = CompressiveSectorSelector(TABLE)
-        fused = CompressiveSectorSelector(TABLE)
-        try:
-            expected = scalar.select(
-                _scalar_measurements([(sector, snr, rssi, valid)])
-            )
-        except ValueError:
-            with pytest.raises(ValueError):
-                fused.select_fused_batch(ids, snr_a, rssi_dbm=rssi_a, mask=mask)
-            return
-        (got,) = fused.select_fused_batch(ids, snr_a, rssi_dbm=rssi_a, mask=mask)
-        assert got == expected
+        _assert_paths_match_scalar(batch, fusion, domain)
 
     @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_random_probe_subsets(self, data):
-        """Unique-sector subsets (the paper's M-probe draw) round-trip."""
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        n_rows = data.draw(st.integers(min_value=1, max_value=4))
-        width = data.draw(st.integers(min_value=2, max_value=N_SECTORS))
-        rows = [
-            sorted(rng.choice(N_SECTORS, size=width, replace=False).tolist())
-            for _ in range(n_rows)
-        ]
-        ids = np.array(rows)
-        snr = rng.uniform(-15.0, 15.0, ids.shape)
-        rssi = snr - 60.0
-        trials = [
-            [(int(ids[r, c]), snr[r, c], rssi[r, c], True) for c in range(width)]
-            for r in range(n_rows)
-        ]
-        scalar = CompressiveSectorSelector(TABLE)
-        expected = [scalar.select(_scalar_measurements(t)) for t in trials]
-        fused = CompressiveSectorSelector(TABLE)
-        got = fused.select_fused_batch(ids, snr, rssi_dbm=rssi, mask=None)
-        assert got == expected
+    @given(
+        batch=subset_batch,
+        fusion=st.sampled_from(FUSIONS),
+        domain=st.sampled_from(DOMAINS),
+    )
+    def test_random_probe_subsets(self, batch, fusion, domain):
+        _assert_paths_match_scalar(batch, fusion, domain)
 
 
 class TestFusedStacked:
@@ -195,7 +199,7 @@ class TestFusedStacked:
         for ids, snr, rssi, mask in parts:
             reference.reset()
             expected.append(
-                reference.select_fused_batch(ids, snr, rssi_dbm=rssi, mask=mask)
+                reference.select_batch(ids, snr, rssi_dbm=rssi, mask=mask)
             )
         stacked = CompressiveSectorSelector(TABLE)
         got = stacked.select_fused_stacked(parts)
@@ -377,3 +381,39 @@ class TestRunnerShmLifecycle:
         assert _kernel_segments() == before
         assert outcome.manifest.result_sha256 == reference.manifest.result_sha256
         assert outcome.manifest.health != "clean"
+
+
+def _fig9_spec():
+    from repro.runtime.registry import get_scenario, load_builtin
+
+    load_builtin()
+    return get_scenario("fig9").default_spec()
+
+
+class TestWorkerKernelLifetime:
+    def test_attach_eviction_never_unmaps_adopted_kernels(self, monkeypatch):
+        """fig9 publishes 16 kernel segments; with a 4-mapping worker cap
+        every worker evicts constantly.  A cached policy still reading
+        an unmapped segment kills its worker (a pool replacement) or
+        reads another segment's bytes."""
+        monkeypatch.setattr(shm, "_MAX_ATTACHED", 4)  # inherited by the fork
+        spec = _fig9_spec()
+        with ScenarioRunner(jobs=1) as serial:
+            reference = serial.run(spec)
+        with ScenarioRunner(jobs=2) as sharded:
+            outcome = sharded.run(spec)
+            assert sharded.health.pool_replacements == 0
+        assert outcome.manifest.result_sha256 == reference.manifest.result_sha256
+
+    def test_new_seeds_publish_no_new_segments(self):
+        """Trial blocks travel pickled: only the per-policy kernels live
+        in shared memory, and a new seed needs none of its own."""
+        before = _kernel_segments()
+        spec = _fig9_spec()
+        with ScenarioRunner(jobs=2) as runner:
+            runner.run(spec)
+            first = _kernel_segments() - before
+            runner.run(spec.with_seed(spec.seed + 1))
+            assert _kernel_segments() - before == first
+        assert len(first) == 16
+        assert _kernel_segments() == before

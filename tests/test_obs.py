@@ -393,10 +393,11 @@ class TestTracedRunDeterminism:
         assert section["spans"]["scenario.run"]["count"] == 1
         assert len(section["slowest_blocks"]) == 5
         counters = section["metrics"]["counters"]
-        # css blocks ride the fused single-pass kernel; full-sweep has
-        # only the plain batched twin.
-        assert counters['runner_kernel_path_total{path="fused"}'] == 5
-        assert counters['runner_kernel_path_total{path="batched"}'] == 5
+        # Every block rides select_batch; the 5 css blocks are the ones
+        # that reach the compressive selector's kernel.
+        assert counters['runner_kernel_path_total{path="batched"}'] == 10
+        assert counters['selector_calls_total{path="batched"}'] == 5
+        assert 'runner_kernel_path_total{path="scalar"}' not in counters
         assert len(session.tracer.events) > 0
 
     def test_jobs4_results_match_jobs1(self, traced, traced_jobs4):
